@@ -3,6 +3,11 @@
 record (BENCH_<n>.json at the repo root).
 
 Usage: bench_trajectory.py --out BENCH_6.json --pr 6 results/*.bench.json
+       bench_trajectory.py --next-pr
+
+--next-pr prints one past the newest BENCH_<n>.json committed in the
+current directory's git checkout (or present on disk outside one): the
+number a new record takes without overwriting a committed one.
 
 Each input is the JSON a bench binary writes when REPRO_BENCH=<file> is set
 (tool "optane-ptm-bench-profile"): per benchmark point, the simulated
@@ -23,6 +28,8 @@ import argparse
 import json
 import os
 import platform
+import re
+import subprocess
 import sys
 
 SUBSYSTEMS = ("cache", "channel", "wpq", "psan", "fault")
@@ -77,12 +84,30 @@ def summarize(points):
     }
 
 
+def next_pr():
+    try:
+        names = subprocess.run(["git", "ls-files", "BENCH_*.json"], capture_output=True,
+                               text=True, check=True).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        names = os.listdir(".")
+    numbers = [int(m.group(1)) for name in names
+               if (m := re.fullmatch(r"BENCH_(\d+)\.json", name))]
+    return max(numbers, default=0) + 1
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="output trajectory file")
-    ap.add_argument("--pr", type=int, required=True, help="PR number for the record")
-    ap.add_argument("profiles", nargs="+", help="per-binary REPRO_BENCH files")
+    ap.add_argument("--next-pr", action="store_true",
+                    help="print the next free record number and exit")
+    ap.add_argument("--out", help="output trajectory file")
+    ap.add_argument("--pr", type=int, help="PR number for the record")
+    ap.add_argument("profiles", nargs="*", help="per-binary REPRO_BENCH files")
     args = ap.parse_args()
+    if args.next_pr:
+        print(next_pr())
+        return 0
+    if args.out is None or args.pr is None or not args.profiles:
+        ap.error("--out, --pr and at least one profile are required")
 
     benches = {}
     all_points = []

@@ -41,9 +41,12 @@ if [[ ${#profiles[@]} -eq 0 ]]; then
   echo "error: no results/*.bench.json self-profiles were produced" >&2
   exit 1
 fi
-traj="BENCH_${BENCH_PR:-9}.json"
+# Without BENCH_PR the record takes the next number after the newest
+# committed one, so a plain run never overwrites a committed record.
+BENCH_PR="${BENCH_PR:-$(python3 scripts/bench_trajectory.py --next-pr)}"
+traj="BENCH_${BENCH_PR}.json"
 python3 scripts/bench_trajectory.py --out "$traj" \
-  --pr "${BENCH_PR:-9}" "${profiles[@]}"
+  --pr "$BENCH_PR" "${profiles[@]}"
 python3 - "$traj" <<'EOF'
 import json, sys
 rec = json.load(open(sys.argv[1]))

@@ -115,6 +115,24 @@ class BenchTrajectoryTest(TempDirTest):
         self.assertIn("wall_ns", r.stderr)
         self.assertFalse(os.path.exists(out))
 
+    def test_next_pr_follows_newest_committed_record(self):
+        # run_all.sh names its record after this number, so a plain run
+        # must never land on a committed BENCH_<n>.json.
+        def git(*args):
+            subprocess.run(["git", "-C", self.dir, *args], check=True,
+                           capture_output=True)
+        git("init", "-q")
+        for name in ("BENCH_6.json", "BENCH_9.json", "BENCH_11.json", "BENCH_x.json"):
+            self.write(name, {})
+        git("add", ".")
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "r")
+        self.write("BENCH_12.json", {})  # a record not committed yet
+        r = subprocess.run(
+            [sys.executable, os.path.join(SCRIPTS, "bench_trajectory.py"),
+             "--next-pr"], cwd=self.dir, capture_output=True, text=True)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertEqual(r.stdout.strip(), "12")
+
 
 class CompareTrajectoryTest(TempDirTest):
     ENV_A = {"hostname": "a", "cpu_model": "cpu-x", "cores": 8}

@@ -1,23 +1,165 @@
 #include "sim/engine.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+// sim_fiber_switch(save_sp, load_sp): push the callee-saved registers, MXCSR
+// and the x87 control word, store rsp to *save_sp, load rsp from load_sp and
+// pop the same set back. Everything else is caller-saved, so the call itself
+// tells the compiler it is clobbered.
+//
+// sim_fiber_entry: where a fresh fiber's first switch "returns" to. The
+// seeded frame leaves the Engine* in r12, the worker id in r13 and
+// Engine::fiber_main in r14. rip is marked undefined so unwinders (and
+// backtrace()) stop at the fiber boundary instead of walking off the stack.
+extern "C" void sim_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void sim_fiber_entry();
+
+asm(R"(
+  .text
+  .globl sim_fiber_switch
+  .hidden sim_fiber_switch
+  .type sim_fiber_switch, @function
+  .p2align 4
+sim_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbp, 0
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbx, 0
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r12, 0
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r13, 0
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r14, 0
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r15, 0
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r15
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r14
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r13
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r12
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbx
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbp
+  ret
+  .cfi_endproc
+  .size sim_fiber_switch, .-sim_fiber_switch
+
+  .globl sim_fiber_entry
+  .hidden sim_fiber_entry
+  .type sim_fiber_entry, @function
+  .p2align 4
+sim_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined %rip
+  movq %r12, %rdi
+  movl %r13d, %esi
+  callq *%r14
+  ud2
+  .cfi_endproc
+  .size sim_fiber_entry, .-sim_fiber_entry
+)");
 
 namespace sim {
 
-void SimContext::yield_to_scheduler() { engine_->yield_from(id_); }
+namespace {
+
+// What sim_fiber_switch leaves at the saved stack pointer, lowest address
+// first. A fresh fiber's stack is seeded with one of these at its top.
+struct SwitchFrame {
+  uint32_t mxcsr;
+  uint16_t x87_cw;
+  uint16_t pad;
+  void* r15;
+  void* r14;
+  void* r13;
+  void* r12;
+  void* rbx;
+  void* rbp;
+  void (*ret)();
+};
+// The entry thunk's call must see a 16-byte-aligned rsp once the frame is
+// popped, so the frame must be a multiple of 16 below an aligned stack top.
+static_assert(sizeof(SwitchFrame) % 16 == 0);
+
+size_t page_bytes() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+}  // namespace
+
+void SimContext::yield() { engine_->schedule_from(id_); }
 
 int SimContext::num_workers() const { return engine_->num_workers(); }
 
-Engine::Engine(int num_workers) : n_(num_workers) {
-  assert(num_workers > 0);
-  stacks_.reserve(static_cast<size_t>(n_));
-  for (int i = 0; i < n_; i++) stacks_.emplace_back(new char[kStackBytes]);
-  fibers_.resize(static_cast<size_t>(n_));
+Engine::Stacks::Stacks(int count) {
+  // Guard pages are mprotect()ed, so every slot must stay page-aligned.
+  static_assert(kStackBytes % 4096 == 0);
+  const size_t page = page_bytes();
+  const size_t slot = page + kStackBytes;
+  map_bytes_ = slot * static_cast<size_t>(count);
+  void* p = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  map_ = static_cast<char*>(p);
+  for (int i = 0; i < count; i++) {
+    if (mprotect(map_ + slot * static_cast<size_t>(i), page, PROT_NONE) != 0) {
+      munmap(map_, map_bytes_);
+      throw std::bad_alloc();
+    }
+  }
 }
 
-Engine::~Engine() = default;
+Engine::Stacks::~Stacks() { munmap(map_, map_bytes_); }
+
+char* Engine::Stacks::base(int i) const {
+  const size_t page = page_bytes();
+  return map_ + (page + kStackBytes) * static_cast<size_t>(i) + page;
+}
+
+Engine::Engine(int num_workers)
+    : n_(num_workers), stacks_(num_workers), sp_(static_cast<size_t>(num_workers)) {
+  assert(num_workers > 0);
+}
 
 int Engine::pick_next(uint64_t* run_until) const {
   int best = -1;
@@ -38,18 +180,54 @@ int Engine::pick_next(uint64_t* run_until) const {
   return best;
 }
 
-void Engine::trampoline(unsigned hi, unsigned lo) {
-  auto* engine_and_id = reinterpret_cast<uint64_t*>(
-      (static_cast<uint64_t>(hi) << 32) | static_cast<uint64_t>(lo));
-  auto* engine = reinterpret_cast<Engine*>(engine_and_id[0]);
-  const int id = static_cast<int>(engine_and_id[1]);
+void Engine::schedule_from(int id) {
+  uint64_t run_until = 0;
+  const int next = pick_next(&run_until);
+  if (next >= 0) ctx_[static_cast<size_t>(next)].run_until_ = run_until;
+  if (next != id) switch_to(id, next);
+}
+
+void Engine::switch_to(int from, int to) {
+  void** save = from < 0 ? &run_sp_ : &sp_[static_cast<size_t>(from)];
+  void* load = to < 0 ? run_sp_ : sp_[static_cast<size_t>(to)];
+#if defined(__SANITIZE_ADDRESS__)
+  // A finished fiber never resumes: a null slot lets ASan free its fake
+  // stack.
+  const bool finished = from >= 0 && done_[static_cast<size_t>(from)];
+  void* fake_stack = nullptr;
+  switched_from_ = from;
+  __sanitizer_start_switch_fiber(finished ? nullptr : &fake_stack,
+                                 to < 0 ? run_stack_bottom_ : stacks_.base(to),
+                                 to < 0 ? run_stack_size_ : kStackBytes);
+  sim_fiber_switch(save, load);
+  finish_switch(fake_stack);
+#else
+  sim_fiber_switch(save, load);
+#endif
+}
+
+void Engine::finish_switch([[maybe_unused]] void* fake_stack) {
+#if defined(__SANITIZE_ADDRESS__)
+  const void* bottom = nullptr;
+  size_t size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+  if (switched_from_ < 0) {
+    run_stack_bottom_ = bottom;
+    run_stack_size_ = size;
+  }
+#endif
+}
+
+void Engine::fiber_main(Engine* engine, int id) {
+  engine->finish_switch(nullptr);
   try {
     (*engine->body_)(engine->ctx_[static_cast<size_t>(id)]);
   } catch (...) {
     if (!engine->first_error_) engine->first_error_ = std::current_exception();
   }
   engine->done_[static_cast<size_t>(id)] = true;
-  // Returning lands on uc_link == sched_ctx_.
+  engine->schedule_from(id);
+  __builtin_unreachable();
 }
 
 void Engine::run(const std::function<void(ExecContext&)>& body) {
@@ -58,36 +236,33 @@ void Engine::run(const std::function<void(ExecContext&)>& body) {
   ctx_.assign(static_cast<size_t>(n_), SimContext{});
   done_.assign(static_cast<size_t>(n_), false);
 
-  // Packed (engine, id) arguments must outlive makecontext's int params.
-  std::vector<std::array<uint64_t, 2>> args(static_cast<size_t>(n_));
+  // Fresh fibers start with run()'s floating-point control state.
+  uint32_t mxcsr = 0;
+  uint16_t x87_cw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87_cw));
 
   for (int i = 0; i < n_; i++) {
     auto& c = ctx_[static_cast<size_t>(i)];
     c.engine_ = this;
     c.id_ = i;
-    c.time_ns_ = 0;
-    c.run_until_ = 0;
 
-    ucontext_t& uc = fibers_[static_cast<size_t>(i)];
-    getcontext(&uc);
-    uc.uc_stack.ss_sp = stacks_[static_cast<size_t>(i)].get();
-    uc.uc_stack.ss_size = kStackBytes;
-    uc.uc_link = &sched_ctx_;
-    args[static_cast<size_t>(i)] = {reinterpret_cast<uint64_t>(this),
-                                    static_cast<uint64_t>(i)};
-    const auto packed = reinterpret_cast<uint64_t>(args[static_cast<size_t>(i)].data());
-    makecontext(&uc, reinterpret_cast<void (*)()>(&Engine::trampoline), 2,
-                static_cast<unsigned>(packed >> 32),
-                static_cast<unsigned>(packed & 0xffffffffu));
+    char* top = stacks_.base(i) + kStackBytes;
+#if defined(__SANITIZE_ADDRESS__)
+    // The last run's abandoned frames left redzones behind.
+    ASAN_UNPOISON_MEMORY_REGION(stacks_.base(i), kStackBytes);
+#endif
+    auto* frame = reinterpret_cast<SwitchFrame*>(top) - 1;
+    *frame = SwitchFrame{};
+    frame->mxcsr = mxcsr;
+    frame->x87_cw = x87_cw;
+    frame->r12 = this;
+    frame->r13 = reinterpret_cast<void*>(static_cast<uintptr_t>(i));
+    frame->r14 = reinterpret_cast<void*>(&Engine::fiber_main);
+    frame->ret = &sim_fiber_entry;
+    sp_[static_cast<size_t>(i)] = frame;
   }
 
-  for (;;) {
-    uint64_t run_until = 0;
-    const int next = pick_next(&run_until);
-    if (next < 0) break;
-    ctx_[static_cast<size_t>(next)].run_until_ = run_until;
-    swapcontext(&sched_ctx_, &fibers_[static_cast<size_t>(next)]);
-  }
+  schedule_from(-1);  // returns once every worker is done
 
   elapsed_ns_ = 0;
   for (int i = 0; i < n_; i++) {

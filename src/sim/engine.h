@@ -13,11 +13,18 @@
 // they would from the relative timing of operations on the paper's
 // machine.
 //
-// Implementation: ucontext fibers on one OS thread (a worker switch is a
-// ~100ns swapcontext, which is what makes 32-worker benchmark sweeps
-// tractable on this host). A running fiber is handed a `run_until` budget
-// equal to the next-smallest worker clock, so consecutive events of the
-// same worker stay on the fast path with no scheduler round-trip.
+// Implementation: fibers on one OS thread, switched by a user-space
+// x86-64 routine that saves only the callee-saved registers, MXCSR and the
+// x87 control word, and makes no syscall (glibc's swapcontext, which this
+// replaced, also saved the signal mask with an rt_sigprocmask syscall and
+// cost 313-771 ns per switch). A running fiber is handed a `run_until`
+// budget equal to the next-smallest worker clock, so consecutive events of
+// the same worker stay on the fast path. When a fiber overruns its budget
+// (or finishes) it runs the scheduler's pick itself and switches straight
+// into the chosen fiber: there is no scheduler context, and control goes
+// back to run() only once every worker is done. Each fiber stack has a
+// PROT_NONE guard page below it, so an overflow faults instead of
+// corrupting the neighbouring memory. x86-64 SysV only.
 //
 // Rules for code running under the engine:
 //  * never block on OS primitives (mutexes/condvars) waiting for another
@@ -25,17 +32,21 @@
 //    be scheduled; uncontended locks released before the next advance()
 //    are fine;
 //  * every spin/backoff loop must charge time via ExecContext::advance(),
-//    otherwise the single running fiber livelocks.
+//    otherwise the single running fiber livelocks;
+//  * catch handlers must never yield, so must not call advance(): the
+//    Itanium EH caught-exception stack is per OS thread, not per fiber,
+//    and a switch does not save it (see ptm/runtime.h).
 // The PTM is written to these rules (atomics + abort/backoff, no blocking).
 #pragma once
 
-#include <ucontext.h>
+#if !defined(__x86_64__)
+#error "sim::Engine's fiber switch is written for x86-64 (SysV ABI) only"
+#endif
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/context.h"
@@ -51,7 +62,7 @@ class SimContext final : public ExecContext {
 
   void advance(uint64_t ns) override {
     time_ns_ += ns;
-    if (time_ns_ > run_until_) yield_to_scheduler();
+    if (time_ns_ > run_until_) yield();
   }
 
   int worker_id() const override { return id_; }
@@ -61,13 +72,13 @@ class SimContext final : public ExecContext {
  private:
   friend class Engine;
 
-  void yield_to_scheduler();
+  void yield();
 
   Engine* engine_ = nullptr;
   int id_ = 0;
   uint64_t time_ns_ = 0;
-  // The worker may keep running (no scheduler round-trip) while its clock
-  // does not exceed this bound — the next-smallest worker clock.
+  // The worker may keep running (no scheduler pick) while its clock does
+  // not exceed this bound — the next-smallest worker clock.
   uint64_t run_until_ = 0;
 };
 
@@ -75,8 +86,10 @@ class SimContext final : public ExecContext {
 /// benchmark point; construction is cheap relative to a run.
 class Engine {
  public:
+  /// Usable stack bytes per worker fiber (a guard page sits below).
+  static constexpr size_t kStackBytes = 512 * 1024;
+
   explicit Engine(int num_workers);
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -96,18 +109,41 @@ class Engine {
  private:
   friend class SimContext;
 
-  static constexpr size_t kStackBytes = 512 * 1024;
+  /// One mapping holding every fiber's stack, each above a PROT_NONE page.
+  class Stacks {
+   public:
+    explicit Stacks(int count);
+    ~Stacks();
+    Stacks(const Stacks&) = delete;
+    Stacks& operator=(const Stacks&) = delete;
 
-  static void trampoline(unsigned hi, unsigned lo);
+    /// Lowest usable address of fiber `i`'s stack; it grows down from
+    /// base(i) + kStackBytes.
+    char* base(int i) const;
 
-  // Worker side: suspend this fiber and resume the scheduler.
-  void yield_from(int id) {
-    swapcontext(&fibers_[static_cast<size_t>(id)], &sched_ctx_);
-  }
+   private:
+    char* map_ = nullptr;
+    size_t map_bytes_ = 0;
+  };
 
-  // Scheduler side: pick the non-done worker with minimum time (lowest id
-  // breaks ties) and the second-smallest time as its run budget.
+  // First code a fresh fiber runs (entered from the assembly thunk).
+  [[noreturn]] static void fiber_main(Engine* engine, int id);
+
+  // On fiber `id`, once its clock passed its budget or it finished, or on
+  // run() (id -1) to start: pick the next worker and switch to it (or
+  // return, if that is `id` again).
+  void schedule_from(int id);
+
+  // Pick the non-done worker with minimum time (lowest id breaks ties) and
+  // the second-smallest time as its run budget.
   int pick_next(uint64_t* run_until) const;
+
+  // Save the current context as `from` and resume `to`; -1 names run()'s
+  // context. Returns when something switches back to `from`.
+  void switch_to(int from, int to);
+
+  // Sanitizer bookkeeping on the resumed side of a switch.
+  void finish_switch(void* fake_stack);
 
   const int n_;
   uint64_t elapsed_ns_ = 0;
@@ -115,10 +151,16 @@ class Engine {
   const std::function<void(ExecContext&)>* body_ = nullptr;
   std::vector<SimContext> ctx_;
   std::vector<bool> done_;
-  std::vector<std::unique_ptr<char[]>> stacks_;
-  std::vector<ucontext_t> fibers_;
-  ucontext_t sched_ctx_;
+  Stacks stacks_;
+  std::vector<void*> sp_;  // saved stack pointer of each suspended fiber
+  void* run_sp_ = nullptr;  // saved stack pointer of run()
   std::exception_ptr first_error_;
+
+  // AddressSanitizer fiber annotations only: run()'s stack bounds and the
+  // context the last switch left.
+  const void* run_stack_bottom_ = nullptr;
+  size_t run_stack_size_ = 0;
+  int switched_from_ = -1;
 };
 
 }  // namespace sim
