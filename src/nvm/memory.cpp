@@ -21,7 +21,9 @@ Memory::Memory(const SystemConfig& cfg, char* base, size_t size)
       // Leave a guard gap so pool lines and synthetic lines never collide.
       virt_base_line_(num_lines_ + (1ull << 20)),
       l3_(cfg.l3_bytes, cfg.l3_ways),
-      dram_dir_(cfg.dram_cache_bytes),
+      // Empty unless has_dram_directory(); a sub-line capacity keeps one slot.
+      dram_dir_(has_dram_directory(cfg) ? std::max<uint64_t>(cfg.dram_cache_bytes, kLineBytes)
+                                        : 0),
       wpq_(cfg.cost.wpq_capacity, cfg.max_workers) {
   if (cfg_.crash_sim) {
     image_.reset(new unsigned char[size_]);
@@ -211,8 +213,7 @@ void Memory::model_line(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t li
   double cost = cm.l1_hit_ns;
 
   const Media med = media_of(line, space);
-  const bool via_dir = cfg_.domain == Domain::kPdram && cfg_.media == Media::kOptane &&
-                       med == Media::kOptane;
+  const bool via_dir = has_dram_directory(cfg_) && med == Media::kOptane;
 
   const CacheModel::AccessResult l3r = l3_.access(line, is_write);
   if (l3r.evicted_dirty_line != CacheModel::kNoLine) {
@@ -284,7 +285,7 @@ void Memory::background_writeback(sim::ExecContext& ctx, stats::TxCounters* c, u
   const uint64_t now = ctx.now_ns();
 
   Media med;
-  if (cfg_.domain == Domain::kPdram && cfg_.media == Media::kOptane) {
+  if (has_dram_directory(cfg_)) {
     // Under PDRAM the L3 writes back into the DRAM cache; Optane traffic
     // happens later, on directory eviction.
     const auto dr = dram_dir_.access(line, /*is_write=*/true);
@@ -744,7 +745,7 @@ void Memory::clear_dirty_all() {
 }
 
 void Memory::prewarm_directory(uint64_t first_line, uint64_t nlines) {
-  if (cfg_.domain != Domain::kPdram || cfg_.media != Media::kOptane) return;
+  if (!has_dram_directory(cfg_)) return;
   for (uint64_t i = 0; i < nlines; i++) {
     dram_dir_.access(first_line + i, /*is_write=*/false);
   }

@@ -351,7 +351,16 @@ class Memory {
   /// never reach.
   void prewarm_directory(uint64_t first_line, uint64_t nlines);
 
+  /// The Memory-Mode DRAM cache directory: dram_cache_bytes/64 slots for
+  /// PDRAM over Optane, zero slots for every other config.
+  const DramCacheDirectory& dram_directory() const { return dram_dir_; }
+
  private:
+  // The only config with a Memory-Mode DRAM cache in front of Optane.
+  static bool has_dram_directory(const SystemConfig& cfg) {
+    return cfg.domain == Domain::kPdram && cfg.media == Media::kOptane;
+  }
+
   struct PendingLine {
     uint64_t line;
     uint64_t seq;  // global clwb issue order; see line_applied_seq_

@@ -1,7 +1,8 @@
 #include "nvm/pool.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <new>
 #include <stdexcept>
 
@@ -20,10 +21,20 @@ Pool::Pool(const SystemConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("pool_size exceeds the 4 GB log-offset limit");
   }
 
-  void* p = nullptr;
-  if (posix_memalign(&p, 4096, cfg_.pool_size) != 0) throw std::bad_alloc();
+  // Anonymous private pages read as zero until first written, so the pool
+  // starts cleared without touching it: only the pages that formatting,
+  // population and the run write are ever faulted in.
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t data_bytes = (cfg_.pool_size + page - 1) / page * page;
+  map_bytes_ = data_bytes + page;
+  void* p = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
   base_ = static_cast<char*>(p);
-  std::memset(base_, 0, cfg_.pool_size);
+  if (mprotect(base_ + data_bytes, page, PROT_NONE) != 0) {
+    munmap(base_, map_bytes_);
+    throw std::bad_alloc();
+  }
 
   PoolHeader* h = header();
   h->magic = kMagic;
@@ -40,6 +51,9 @@ Pool::Pool(const SystemConfig& cfg) : cfg_(cfg) {
   mem_->checkpoint_all_persistent();
 }
 
-Pool::~Pool() { std::free(base_); }
+Pool::~Pool() {
+  mem_.reset();  // Memory points into the mapping; drop it first
+  munmap(base_, map_bytes_);
+}
 
 }  // namespace nvm

@@ -11,6 +11,12 @@
 //   [8K,  8K+M*W)    runtime metadata: W = max_workers slots of M bytes
 //   [heap_off, size) persistent heap
 //
+// The region is one anonymous private mapping, page-aligned, followed by a
+// PROT_NONE guard page. The kernel zero-fills its pages on first touch, so
+// a new pool reads as all zeros without being cleared, and a point pays
+// only for the pages it writes. A write past the page-rounded end (past
+// base()+size() itself when pool_size is a page multiple) faults at once.
+//
 // Persistent pointers are raw host pointers: the pool mapping is stable for
 // the lifetime of the process, and crash simulation reverts *contents* (via
 // Memory's persisted image) rather than remapping. Log records that must
@@ -88,6 +94,7 @@ class Pool {
  private:
   SystemConfig cfg_;
   char* base_ = nullptr;
+  size_t map_bytes_ = 0;  // data pages plus the guard page
   std::unique_ptr<Memory> mem_;
 };
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "nvm/cache_model.h"
 #include "nvm/channel.h"
 #include "nvm/dram_cache.h"
@@ -111,6 +114,64 @@ TEST(DramCache, DirectMappedConflict) {
   EXPECT_EQ(r.evicted_dirty_line, 3u);
 }
 
+TEST(DramCache, LineZeroIsNotEmpty) {
+  nvm::DramCacheDirectory dir(64 * 8);
+  EXPECT_FALSE(dir.access(0, true).hit);
+  EXPECT_TRUE(dir.access(0, false).hit);
+  EXPECT_EQ(dir.access(8, false).evicted_dirty_line, 0u);
+}
+
+TEST(DramCache, DirtyBitSurvivesCleanRehit) {
+  nvm::DramCacheDirectory dir(64 * 8);
+  dir.access(5, true);
+  EXPECT_TRUE(dir.access(5, false).hit);
+  EXPECT_TRUE(dir.access(5, false).hit);
+  EXPECT_EQ(dir.access(13, false).evicted_dirty_line, 5u);
+}
+
+TEST(DramCache, CleanAndEmptyVictimsReportNoLine) {
+  nvm::DramCacheDirectory dir(64 * 8);
+  EXPECT_EQ(dir.access(2, false).evicted_dirty_line, nvm::DramCacheDirectory::kNoLine);
+  const auto r = dir.access(10, true);  // evicts the clean 2
+  EXPECT_FALSE(r.hit);
+  EXPECT_EQ(r.evicted_dirty_line, nvm::DramCacheDirectory::kNoLine);
+  dir.reset();
+  EXPECT_EQ(dir.access(18, false).evicted_dirty_line, nvm::DramCacheDirectory::kNoLine);
+}
+
+TEST(DramCache, VirtualRangeLinesRoundTrip) {
+  // Memory numbers virtual payload lines from num_lines + 2^20 upwards.
+  const uint64_t virt_base = (32ull << 20) / 64 + (1ull << 20);
+  nvm::DramCacheDirectory dir(64 * 8);
+  for (const uint64_t line : {virt_base, virt_base + 12345, nvm::DramCacheDirectory::kMaxLine}) {
+    dir.reset();
+    dir.access(line, true);
+    EXPECT_TRUE(dir.access(line, false).hit);
+    EXPECT_EQ(dir.access(line - 8, false).evicted_dirty_line, line);  // same slot
+  }
+}
+
+TEST(DramCacheDeathTest, RejectsLinesBeyondEncoding) {
+  nvm::DramCacheDirectory dir(64 * 8);
+  EXPECT_DEBUG_DEATH(dir.access(1ull << 63, false), "kMaxLine");
+  EXPECT_DEBUG_DEATH(dir.access(nvm::DramCacheDirectory::kMaxLine + 1, true), "kMaxLine");
+}
+
+TEST(DramCache, OnlyPdramOverOptaneOwnsSlots) {
+  for (const auto domain : {nvm::Domain::kAdr, nvm::Domain::kEadr, nvm::Domain::kPdramLite,
+                            nvm::Domain::kPdram}) {
+    for (const auto media : {nvm::Media::kOptane, nvm::Media::kDram}) {
+      const auto cfg = test::small_cfg(domain, media);
+      nvm::Pool pool(cfg);
+      const bool pdram_optane =
+          domain == nvm::Domain::kPdram && media == nvm::Media::kOptane;
+      EXPECT_EQ(pool.mem().dram_directory().num_slots(),
+                pdram_optane ? cfg.dram_cache_bytes / 64 : 0u)
+          << nvm::domain_name(domain) << " media " << static_cast<int>(media);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- pool
 
 TEST(Pool, LayoutIsSane) {
@@ -141,6 +202,43 @@ TEST(Pool, RootAreaIsStable) {
   };
   pool.root<R>()->a = 77;
   EXPECT_EQ(pool.root<R>()->a, 77u);
+}
+
+TEST(Pool, NewPoolReadsZeroAfterDirtyPredecessor) {
+  const auto cfg = test::small_cfg();
+  {
+    nvm::Pool dirty(cfg);
+    std::memset(dirty.base(), 0xa5, dirty.size());
+    EXPECT_EQ(static_cast<unsigned char>(dirty.base()[dirty.size() - 1]), 0xa5);
+  }
+  nvm::Pool pool(cfg);
+  auto all_zero = [](const char* p, size_t n) {
+    return std::all_of(p, p + n, [](char c) { return c == 0; });
+  };
+  const nvm::PoolHeader* h = pool.header();
+  EXPECT_EQ(h->magic, nvm::Pool::kMagic);
+  EXPECT_TRUE(all_zero(pool.base() + sizeof(nvm::PoolHeader),
+                       nvm::Pool::kHeaderBytes - sizeof(nvm::PoolHeader)));
+  EXPECT_TRUE(all_zero(pool.root<char>(), nvm::Pool::kRootBytes));
+  EXPECT_TRUE(all_zero(pool.worker_meta(0), h->heap_off - h->meta_off));
+  for (size_t off = 0; off < pool.heap_bytes(); off += 4096) {
+    const char* page = pool.heap_base() + off;
+    const size_t len = std::min<size_t>(4096, pool.heap_bytes() - off);
+    uint64_t first = 0, last = 0;
+    std::memcpy(&first, page, sizeof first);
+    std::memcpy(&last, page + len - sizeof last, sizeof last);
+    ASSERT_EQ(first, 0u) << "heap offset " << off;
+    ASSERT_EQ(last, 0u) << "heap offset " << off;
+  }
+}
+
+TEST(PoolDeathTest, OverrunPastEndFaults) {
+  EXPECT_DEATH(
+      {
+        nvm::Pool pool(test::small_cfg());
+        static_cast<volatile char*>(pool.base())[pool.size()] = 1;
+      },
+      "");
 }
 
 // ------------------------------------------------- memory timing (DES)
