@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Self-tests for the CI gate scripts (bench_trajectory.py,
-compare_results.py, hang_guard.py), run in CI so the gates themselves
-are gated.
+compare_results.py, hang_guard.py, sim_identity.py), run in CI so the
+gates themselves are gated.
 
 The cases pin the failure modes that once let the gates pass vacuously:
 zero wall_ns / zero sim-events rates silently reporting 0.0 instead of
 erroring, the abort check never firing from a zero baseline,
 cross-machine trajectory comparisons being treated as regressions, and
 the hang guard passing exit codes through / reliably killing a hung
-process tree with the post-mortem on stderr.
+process tree with the post-mortem on stderr, and the sim-identity check
+missing a single simulated counter that moved.
 
 Usage: python3 scripts/test_scripts.py   (exit 0 = all pass)
 Only the standard library is used.
@@ -269,6 +270,50 @@ class CompareResultsTest(TempDirTest):
         r = run("compare_results.py", base, base)
         self.assertEqual(r.returncode, 0, r.stdout)
         self.assertNotIn("warn", r.stdout)
+
+
+# A stand-in for the perfbench binary: prints one run's JSON line, with two
+# points whose sim counters depend on --seed. {bump} is added to the second
+# point's commits, so a stub built with bump=1 is "one counter off".
+STUB_PERFBENCH = """#!{python}
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+points = [{{"label": "p/R", "host_ns": {{"run": 123}},
+            "sim": {{"commits": 100 + seed, "aborts": 3}}}},
+          {{"label": "p/U", "host_ns": {{"run": 456}},
+            "sim": {{"commits": 200 + seed + {bump}, "aborts": 5}}}}]
+print("progress")
+print(json.dumps({{"workload": "w", "points": points}}))
+"""
+
+
+class SimIdentityTest(TempDirTest):
+    def stub(self, name, bump=0):
+        path = os.path.join(self.dir, name)
+        with open(path, "w") as f:
+            f.write(STUB_PERFBENCH.format(python=sys.executable, bump=bump))
+        os.chmod(path, 0o755)
+        return path
+
+    def test_identical_binaries_pass(self):
+        a, b = self.stub("a"), self.stub("b")
+        r = run("sim_identity.py", a, b, "--workload", "w", "--seeds", "1", "2")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertNotIn("DIFF", r.stdout)
+        self.assertIn("seed 2: 2 points, sim identical", r.stdout)
+
+    def test_one_counter_off_fails_and_names_point_and_key(self):
+        a, b = self.stub("a"), self.stub("b", bump=1)
+        r = run("sim_identity.py", a, b, "--workload", "w", "--seeds", "7")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("DIFF seed 7 point p/U key commits: 207 != 208", r.stdout)
+        self.assertEqual(r.stdout.count("DIFF"), 1)  # host_ns is not compared
+
+    def test_failing_binary_is_an_error(self):
+        a = self.stub("a")
+        r = run("sim_identity.py", a, os.path.join(self.dir, "missing"),
+                "--workload", "w", "--seeds", "1")
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
 
 
 if __name__ == "__main__":

@@ -93,6 +93,12 @@ void Tx::lazy_commit() {
   OrecTable& orecs = rt_->orecs();
   const auto me = static_cast<uint32_t>(worker_);
 
+  // Every CAS below is a full barrier, so orec misses met inside the loop
+  // would serialize; start them all first.
+  for (size_t i = 0; i < n_log_; i++) {
+    orecs.prefetch(pool.at(LogEntry::offset_of(slot_.entry_at(i)->off)));
+  }
+
   // 1. Acquire the write set's orecs (abort-on-conflict, no waiting).
   for (size_t i = 0; i < n_log_; i++) {
     auto* home = static_cast<uint64_t*>(pool.at(LogEntry::offset_of(slot_.entry_at(i)->off)));

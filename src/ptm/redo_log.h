@@ -322,20 +322,32 @@ void zero_slot_logs(nvm::Pool& pool, sim::ExecContext& ctx, stats::TxCounters* c
                     SlotLayout& slot);
 
 /// DRAM-resident open-addressing map: word pool-offset -> log index.
-/// Generation-stamped so clearing between transactions is O(1). Write sets
-/// are capped at half the table (beyond that, probing costs explode and a
-/// full table would loop) — insert() reports the overflow and the runtime
-/// takes a capacity abort, doubles the table (grow()), and retries, up to
-/// kMaxSlots.
+/// Generation-stamped so clearing between transactions is O(1).
+///
+/// Two sizes are kept apart. The *logical* limit, max_writes(), is what
+/// the runtime sees: it starts at 8192 writes, and insert() reports a new
+/// key beyond it so the runtime takes a capacity abort, doubles the limit
+/// (grow()) and retries, up to kMaxSlots / 2 writes. The *physical* table
+/// follows the live write set instead: it starts at kInitialSlots and
+/// doubles, rehashing its live entries in place, whenever an insert would
+/// fill it past half. A typical transaction writes a few dozen words, so
+/// its table stays a few KB — every read probes it — and capacity aborts
+/// still fire at exactly the limit. lookup() on an empty write set (every
+/// read-only transaction, and every read before the first write) returns
+/// without touching the table.
 class WriteIndex {
  public:
-  static constexpr size_t kInitialSlots = 1u << 14;
+  static constexpr size_t kInitialSlots = 1u << 8;
+  static constexpr size_t kInitialLimit = 1u << 13;
   static constexpr size_t kMaxSlots = 1u << 22;  // hard ceiling: 2M-entry write sets
 
-  WriteIndex() : slots_(kInitialSlots), shift_(64 - 14) {}
+  WriteIndex() : slots_(kInitialSlots), shift_(64 - 8) {}
 
-  /// Largest write set the current table admits.
-  size_t max_writes() const { return slots_.size() / 2; }
+  /// Largest write set the current limit admits.
+  size_t max_writes() const { return limit_; }
+
+  /// Physical table size (slots), for tests and footprint checks.
+  size_t table_slots() const { return slots_.size(); }
 
   void clear() {
     gen_++;
@@ -344,6 +356,7 @@ class WriteIndex {
 
   /// Returns log index or -1.
   int64_t lookup(uint64_t off) const {
+    if (count_ == 0) return -1;
     const size_t mask = slots_.size() - 1;
     size_t i = hash(off);
     for (;;) {
@@ -358,33 +371,29 @@ class WriteIndex {
   /// max_writes() — the caller must abort the transaction (updating an
   /// existing key never fails).
   bool insert(uint64_t off, int64_t idx) {
-    const size_t mask = slots_.size() - 1;
-    size_t i = hash(off);
-    for (;;) {
-      Slot& s = slots_[i];
-      if (s.gen != gen_ || s.off == off) {
-        if (s.gen != gen_) {
-          if (count_ >= max_writes()) return false;
-          count_++;
-        }
-        s.gen = gen_;
-        s.off = off;
-        s.idx = idx;
-        return true;
+    Slot* s = &probe(off);
+    if (s->gen != gen_) {
+      if (count_ >= max_writes()) return false;
+      if (2 * (count_ + 1) > slots_.size()) {
+        double_table();
+        s = &probe(off);
       }
-      i = (i + 1) & mask;
+      count_++;
+      s->gen = gen_;
+      s->off = off;
     }
+    s->idx = idx;
+    return true;
   }
 
-  /// Double the table. DRAM-only and contents-discarding (equivalent to
-  /// clear()), so it is legal only between transactions — the abort path
-  /// calls it right before the retry. Returns false at kMaxSlots.
+  /// Double the limit. Contents-discarding (equivalent to clear()), so it
+  /// is legal only between transactions — the abort path calls it right
+  /// before the retry. Returns false once the limit would need more than
+  /// kMaxSlots at half load.
   bool grow() {
-    if (slots_.size() >= kMaxSlots) return false;
-    slots_.assign(slots_.size() * 2, Slot{});
-    shift_--;
-    gen_ = 1;
-    count_ = 0;
+    if (limit_ >= kMaxSlots / 2) return false;
+    limit_ *= 2;
+    clear();
     return true;
   }
 
@@ -400,10 +409,29 @@ class WriteIndex {
            (slots_.size() - 1);
   }
 
+  /// The slot holding `off`, or the free slot where it would go.
+  Slot& probe(uint64_t off) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash(off);
+    while (slots_[i].gen == gen_ && slots_[i].off != off) i = (i + 1) & mask;
+    return slots_[i];
+  }
+
+  /// Double the physical table, keeping the live entries.
+  void double_table() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    shift_--;
+    for (const Slot& s : old) {
+      if (s.gen == gen_) probe(s.off) = s;
+    }
+  }
+
   std::vector<Slot> slots_;
   int shift_;  // 64 - log2(slots_.size()): hash uses the top bits
   uint64_t gen_ = 1;
   size_t count_ = 0;
+  size_t limit_ = kInitialLimit;
 };
 
 }  // namespace ptm

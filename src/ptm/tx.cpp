@@ -89,6 +89,11 @@ void Tx::read_bytes(const void* src, void* dst, size_t len) {
   const uintptr_t s = reinterpret_cast<uintptr_t>(src);
   auto* out = static_cast<char*>(dst);
   uintptr_t w = s & ~uintptr_t{7};
+  // Start the orec miss of every word before the word loop, so the misses
+  // overlap instead of serializing one per word (a KV key compare reads 16
+  // words). The loop stays inline: GCC deems a helper whose only effect is
+  // a prefetch pure, and drops the call.
+  for (uintptr_t p = w; p < s + len; p += 8) rt_->orecs().prefetch(reinterpret_cast<void*>(p));
   size_t produced = 0;
   while (produced < len) {
     const uint64_t word = read_word(reinterpret_cast<const uint64_t*>(w));
@@ -104,6 +109,7 @@ void Tx::write_bytes(void* dst, const void* src, size_t len) {
   const uintptr_t d = reinterpret_cast<uintptr_t>(dst);
   const auto* in = static_cast<const char*>(src);
   uintptr_t w = d & ~uintptr_t{7};
+  for (uintptr_t p = w; p < d + len; p += 8) rt_->orecs().prefetch(reinterpret_cast<void*>(p));
   size_t consumed = 0;
   while (consumed < len) {
     const size_t lo = (consumed == 0) ? (d - w) : 0;

@@ -19,12 +19,16 @@ struct OwnedOrec {
   uint64_t old_word;  // unlocked version word observed before acquisition
 };
 
-/// Tracks unique dirty cache lines for commit-time flushing. Write sets are
+/// Tracks unique dirty cache lines for commit-time flushing, in
+/// first-insertion order (the order the commit clwbs them). Write sets are
 /// small (the paper measures <40 lines even for TPCC/Vacation), so a flat
-/// vector with linear dedup is faster than hashing.
+/// vector with linear dedup is faster than hashing. Consecutive words of
+/// one line are the common case, so the last line added is checked before
+/// the scan.
 class DirtyLines {
  public:
   void add(uint64_t line) {
+    if (!lines_.empty() && lines_.back() == line) return;
     for (uint64_t l : lines_) {
       if (l == line) return;
     }

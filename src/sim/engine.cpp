@@ -149,7 +149,15 @@ Engine::Stacks::Stacks(int count) {
   }
 }
 
-Engine::Stacks::~Stacks() { munmap(map_, map_bytes_); }
+Engine::Stacks::~Stacks() {
+#if defined(__SANITIZE_ADDRESS__)
+  // Abandoned fiber frames leave stack redzones in the shadow, and munmap
+  // does not clear them: the next mapping placed here (a pool) would read
+  // as poisoned stack.
+  ASAN_UNPOISON_MEMORY_REGION(map_, map_bytes_);
+#endif
+  munmap(map_, map_bytes_);
+}
 
 char* Engine::Stacks::base(int i) const {
   const size_t page = page_bytes();

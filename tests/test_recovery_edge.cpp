@@ -4,6 +4,7 @@
 
 #include "ptm/redo_log.h"
 #include "ptm/runtime.h"
+#include "ptm/undo_log.h"
 #include "test_common.h"
 #include "util/crc32.h"
 
@@ -83,6 +84,94 @@ TEST(WriteIndex, ManyEntriesNoFalseHits) {
   for (uint64_t i = 2000; i < 2100; i++) {
     ASSERT_EQ(idx.lookup(i * 8), -1);
   }
+}
+
+TEST(WriteIndex, PhysicalTableStartsSmall) {
+  ptm::WriteIndex idx;
+  EXPECT_EQ(idx.table_slots(), ptm::WriteIndex::kInitialSlots);
+  EXPECT_LE(idx.table_slots(), 256u);
+  EXPECT_EQ(idx.max_writes(), 8192u);
+}
+
+TEST(WriteIndex, EntriesSurviveInPlaceGrowth) {
+  ptm::WriteIndex idx;
+  constexpr uint64_t kN = 5000;
+  for (uint64_t i = 0; i < kN; i++) {
+    ASSERT_TRUE(idx.insert(i * 8, static_cast<int64_t>(i)));
+  }
+  // The table followed the write set and kept it at most half full.
+  EXPECT_GE(idx.table_slots(), 2 * kN);
+  for (uint64_t i = 0; i < kN; i++) {
+    ASSERT_EQ(idx.lookup(i * 8), static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(idx.lookup(kN * 8), -1);
+}
+
+TEST(WriteIndex, OverwriteHitsTheSameEntryAcrossGrowth) {
+  ptm::WriteIndex idx;
+  ASSERT_TRUE(idx.insert(8, 1));
+  for (uint64_t i = 2; i < 1000; i++) ASSERT_TRUE(idx.insert(i * 8, static_cast<int64_t>(i)));
+  ASSERT_GT(idx.table_slots(), ptm::WriteIndex::kInitialSlots);
+  // An update of a live key never counts against the limit or adds a slot.
+  ASSERT_TRUE(idx.insert(8, 77));
+  EXPECT_EQ(idx.lookup(8), 77);
+  for (uint64_t i = 2; i < 1000; i++) ASSERT_EQ(idx.lookup(i * 8), static_cast<int64_t>(i));
+}
+
+TEST(WriteIndex, EmptyAndClearedIndexMisses) {
+  ptm::WriteIndex idx;
+  EXPECT_EQ(idx.lookup(0), -1);
+  EXPECT_EQ(idx.lookup(4096), -1);
+  for (uint64_t i = 0; i < 600; i++) ASSERT_TRUE(idx.insert(i * 8, static_cast<int64_t>(i)));
+  idx.clear();
+  for (uint64_t i = 0; i < 600; i++) ASSERT_EQ(idx.lookup(i * 8), -1);
+  // Reused after clear(): a fresh key lands and old keys stay gone.
+  ASSERT_TRUE(idx.insert(16, 3));
+  EXPECT_EQ(idx.lookup(16), 3);
+  EXPECT_EQ(idx.lookup(8), -1);
+}
+
+TEST(WriteIndex, LogicalLimitIsUnchangedByPhysicalGrowth) {
+  // Capacity aborts fire at exactly 8192 new keys, and grow() doubles the
+  // limit: the physical table size never shows through.
+  ptm::WriteIndex idx;
+  for (uint64_t i = 0; i < 8192; i++) {
+    ASSERT_TRUE(idx.insert(i * 8, static_cast<int64_t>(i))) << i;
+  }
+  EXPECT_FALSE(idx.insert(8192 * 8, 8192));
+  EXPECT_TRUE(idx.insert(0, 5));  // updating a live key still succeeds
+  ASSERT_TRUE(idx.grow());
+  EXPECT_EQ(idx.max_writes(), 16384u);
+  EXPECT_EQ(idx.lookup(0), -1);  // grow() discards the contents
+  for (uint64_t i = 0; i < 16384; i++) {
+    ASSERT_TRUE(idx.insert(i * 8, static_cast<int64_t>(i))) << i;
+  }
+  EXPECT_FALSE(idx.insert(16384 * 8, 16384));
+  for (uint64_t i = 0; i < 16384; i++) ASSERT_EQ(idx.lookup(i * 8), static_cast<int64_t>(i));
+}
+
+TEST(WriteIndex, GrowStopsAtTheCeiling) {
+  // 8192 writes doubles to kMaxSlots / 2 = 2^21 writes in 8 steps; the
+  // ninth grow() fails, as it did when the table itself doubled.
+  ptm::WriteIndex idx;
+  int grows = 0;
+  while (idx.grow()) grows++;
+  EXPECT_EQ(grows, 8);
+  EXPECT_EQ(idx.max_writes(), ptm::WriteIndex::kMaxSlots / 2);
+  // Growing the limit allocates nothing.
+  EXPECT_EQ(idx.table_slots(), ptm::WriteIndex::kInitialSlots);
+}
+
+TEST(DirtyLines, DedupsInFirstInsertionOrder) {
+  ptm::DirtyLines d;
+  constexpr uint64_t kA = 7, kB = 3, kC = 11;
+  for (uint64_t line : {kA, kA, kB, kA, kC, kB, kC}) d.add(line);
+  EXPECT_EQ(d.lines(), (std::vector<uint64_t>{kA, kB, kC}));
+  EXPECT_EQ(d.count(), 3u);
+  d.clear();
+  EXPECT_TRUE(d.lines().empty());
+  d.add(kC);
+  EXPECT_EQ(d.lines(), (std::vector<uint64_t>{kC}));
 }
 
 TEST(LogOverflow, WriteLogGrowsAndCommits) {
