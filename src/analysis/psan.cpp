@@ -117,6 +117,16 @@ void Psan::on_sfence(int worker) {
          "nothing pending");
     return;
   }
+  retire_pending_locked(ws);
+}
+
+void Psan::on_worker_drained(int worker) {
+  std::lock_guard<std::mutex> g(mu_);
+  if (!tracks_) return;
+  retire_pending_locked(w_[slot(worker)]);
+}
+
+void Psan::retire_pending_locked(WorkerState& ws) {
   for (const auto& [line, cap_event] : ws.pending) {
     for (auto& o : w_) {
       auto it = o.unpersisted.find(line);

@@ -116,6 +116,10 @@ class Psan {
   /// fence retires flushes here all the same — the variant must stay
   /// runnable without tripping the CI gate.
   void on_sfence(int worker);
+  /// A worker died with the machine up (Memory::drain_worker_pending): its
+  /// clwb'd lines complete their writeback as its own sfence would have
+  /// retired them. Not an instruction, so no event and no lint.
+  void on_worker_drained(int worker);
   /// Power failure: classify every outstanding store (never-flushed vs
   /// flushed-but-unfenced), emit kUnflushedAtCrash for the former, then
   /// reset volatile tracking (the reverted heap is the new baseline).
@@ -160,6 +164,9 @@ class Psan {
     bool in_tx = false;
     stats::Phase phase = stats::Phase::kBegin;
   };
+
+  // Retire every clwb in ws.pending (caller holds mu_).
+  void retire_pending_locked(WorkerState& ws);
 
   void emit(DiagKind kind, int worker, uint64_t line, uint64_t store_event,
             uint64_t flush_event, const char* what, const char* state);

@@ -183,12 +183,8 @@ Media Memory::media_of(uint64_t line, Space space) const {
   return cfg_.media;
 }
 
-void Memory::model_addr(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr,
-                        size_t len, bool is_write, Space space) {
-  if (c) {
-    if (is_write) c->pmem_stores++; else c->pmem_loads++;
-  }
-  if (!cfg_.model_timing || !ctx.is_simulated()) return;
+void Memory::model_range(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr,
+                         size_t len, bool is_write, Space space) {
   const uint64_t first = line_of(addr);
   const uint64_t last = line_of(static_cast<const char*>(addr) + (len ? len - 1 : 0));
   for (uint64_t line = first; line <= last; line++) {
@@ -646,6 +642,7 @@ void Memory::set_fenced_probe(std::function<bool(int)> probe) {
 }
 
 void Memory::drain_worker_pending(int w) {
+  if (psan_) psan_->on_worker_drained(w);
   if (w < 0 || static_cast<size_t>(w) >= pending_.size()) return;
   std::lock_guard<std::mutex> lk(track_mu_);
   auto& pend = pending_[static_cast<size_t>(w)];

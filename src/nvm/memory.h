@@ -375,9 +375,19 @@ class Memory {
   /// roll the persisted line back to its stale issue-time snapshot.
   void apply_pending_locked(const PendingLine& p);
 
-  // Resolve timing + cache modelling for a real address range.
+  // Resolve timing + cache modelling for a real address range. The
+  // counting half is inline so untimed accesses (population, RealContext)
+  // pay no call; the per-line model stays out of line in model_range.
   void model_addr(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr, size_t len,
-                  bool is_write, Space space);
+                  bool is_write, Space space) {
+    if (c) {
+      if (is_write) c->pmem_stores++; else c->pmem_loads++;
+    }
+    if (!cfg_.model_timing || !ctx.is_simulated()) return;
+    model_range(ctx, c, addr, len, is_write, space);
+  }
+  void model_range(sim::ExecContext& ctx, stats::TxCounters* c, const void* addr, size_t len,
+                   bool is_write, Space space);
 
   // One modelled line access (DES mode only).
   void model_line(sim::ExecContext& ctx, stats::TxCounters* c, uint64_t line, bool is_write,

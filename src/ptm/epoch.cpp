@@ -129,6 +129,7 @@ void EpochManager::drain(sim::ExecContext& ctx, stats::TxCounters* c,
                          bool why_size) {
   const int self = ctx.worker_id();
   std::vector<Member*> batch;
+  bool reflush_headers = false;
   {
     std::lock_guard<std::mutex> g(mu_);
     // Stage the queue behind whatever a dead predecessor left in
@@ -140,6 +141,7 @@ void EpochManager::drain(sim::ExecContext& ctx, stats::TxCounters* c,
     queue_.clear();
     queued_.store(0, std::memory_order_release);
     batch = draining_;
+    reflush_headers = flipping_;
   }
   if (batch.empty()) return;
 
@@ -174,7 +176,7 @@ void EpochManager::drain(sim::ExecContext& ctx, stats::TxCounters* c,
       // HB edge: join the member's publish before flushing on its behalf —
       // the leader's clwbs/fence then durably retire the member's stores.
       if (rs != nullptr) rs->on_join(self, m);
-      flushed |= m->tx->epoch_flush_payload(ctx, c);
+      flushed |= m->tx->epoch_flush_payload(ctx, c, reflush_headers);
     }
     if (flushed) mem.sfence(ctx, c);
     for (Member* m : batch) m->tx->epoch_check_payload_persisted();
@@ -193,6 +195,10 @@ void EpochManager::drain(sim::ExecContext& ctx, stats::TxCounters* c,
     }
 
     // Batch C — primary COMMITTED statuses for every member, one fence.
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      flipping_ = true;
+    }
     for (Member* m : batch) {
       guard();
       m->tx->epoch_flip_status(ctx, c);
@@ -216,6 +222,7 @@ void EpochManager::drain(sim::ExecContext& ctx, stats::TxCounters* c,
     }
     std::lock_guard<std::mutex> g(mu_);
     draining_.clear();
+    flipping_ = false;
     throw;
   }
 
@@ -230,6 +237,7 @@ void EpochManager::drain(sim::ExecContext& ctx, stats::TxCounters* c,
   {
     std::lock_guard<std::mutex> g(mu_);
     draining_.clear();
+    flipping_ = false;
   }
   for (Member* m : batch) {
     // HB edge: the epoch's durable close happens-before each member's
@@ -282,6 +290,7 @@ void EpochManager::reset() {
   std::lock_guard<std::mutex> g(mu_);
   queue_.clear();
   draining_.clear();
+  flipping_ = false;
   queued_.store(0, std::memory_order_release);
   leader_.store(-1, std::memory_order_release);
   for (int w = 0; w < n_workers_; w++) {
@@ -362,7 +371,8 @@ void Tx::epoch_eager_publish(EpochManager& ep, uint64_t wv) {
   release_owned(OrecTable::version_word(wv));
 }
 
-bool Tx::epoch_flush_payload(sim::ExecContext& ctx, stats::TxCounters* c) {
+bool Tx::epoch_flush_payload(sim::ExecContext& ctx, stats::TxCounters* c,
+                             bool with_header) {
   nvm::Pool& pool = rt_->pool();
   nvm::Memory& mem = pool.mem();
   if (algo_ == Algo::kOrecLazy) {
@@ -371,11 +381,13 @@ bool Tx::epoch_flush_payload(sim::ExecContext& ctx, stats::TxCounters* c) {
     return true;
   }
   // Eager: records and header are durable already; only the in-place data
-  // lines still need the flush the per-tx commit would have issued.
+  // lines still need the flush the per-tx commit would have issued —
+  // unless a killed leader's status flip re-dirtied the header.
   for (const uint64_t line : dirty_.lines()) {
     mem.clwb(ctx, c, pool.base() + line * nvm::Memory::kLineBytes);
   }
-  return !dirty_.lines().empty();
+  if (with_header) mem.clwb(ctx, c, slot_.header);
+  return with_header || !dirty_.lines().empty();
 }
 
 void Tx::epoch_check_payload_persisted() {

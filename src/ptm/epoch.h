@@ -159,6 +159,11 @@ class EpochManager {
   // the batch behind for a successor to re-run from batch A — the three
   // fence batches are idempotent over already-flushed members.
   std::vector<Member*> draining_;
+  // Set (under mu_) once a leader starts batch C on draining_: from then
+  // on a member's primary header may hold a COMMITTED store that a leader
+  // killed before its clwb left dirty. A successor re-running batch A
+  // flushes every header with the payload, so its seal check holds.
+  bool flipping_ = false;
   std::atomic<size_t> queued_{0};
   // Worker id of the drain leader, -1 when leadership is free. A leader
   // killed mid-drain keeps the flag (on purpose): successors must observe

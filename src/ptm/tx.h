@@ -198,7 +198,7 @@ class Tx {
   // member's clock.
   void epoch_lazy_publish(EpochManager& ep, uint64_t wv);
   void epoch_eager_publish(EpochManager& ep, uint64_t wv);
-  bool epoch_flush_payload(sim::ExecContext& ctx, stats::TxCounters* c);
+  bool epoch_flush_payload(sim::ExecContext& ctx, stats::TxCounters* c, bool with_header);
   void epoch_check_payload_persisted();
   bool epoch_mirror_commit(sim::ExecContext& ctx, stats::TxCounters* c);
   void epoch_check_mirror_persisted();

@@ -1,6 +1,8 @@
 #include "workloads/kv.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 namespace workloads {
@@ -16,6 +18,45 @@ uint64_t round_pow2(uint64_t v) {
   while (p < v) p <<= 1;
   return p;
 }
+
+// Key layout: prefix, 20 decimal digits, 'x' up to byte 120, then NULs.
+constexpr char kPrefix[] = "memaslap-key-";
+constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
+constexpr size_t kDigitsEnd = kPrefixLen + 20;
+constexpr size_t kPadEnd = 120;
+constexpr size_t kKeyLen = sizeof(util::Key128);
+
+// util::fnv1a, one byte at a time.
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+constexpr uint64_t fnv_step(uint64_t h, unsigned char b) { return (h ^ b) * kFnvPrime; }
+
+constexpr uint64_t kAfterPrefix = [] {
+  uint64_t h = kFnvBasis;
+  for (size_t i = 0; i < kPrefixLen; i++) h = fnv_step(h, static_cast<unsigned char>(kPrefix[i]));
+  return h;
+}();
+
+// FNV of the fixed tail (bytes kDigitsEnd..127) from state h, byte by byte.
+constexpr uint64_t fnv_tail(uint64_t h) {
+  for (size_t i = kDigitsEnd; i < kKeyLen; i++) h = fnv_step(h, i < kPadEnd ? 'x' : 0);
+  return h;
+}
+
+// Closed form of fnv_tail: every tail byte is below 2^7, so h ^ b equals
+// h + d(h mod 128), and the low 7 bits of each later state depend only on
+// h mod 128. Hence fnv_tail(h) = h * P^95 + T[h & 127].
+static_assert('x' < 128);
+constexpr uint64_t kTailMul = [] {
+  uint64_t m = 1;
+  for (size_t i = kDigitsEnd; i < kKeyLen; i++) m *= kFnvPrime;
+  return m;
+}();
+constexpr std::array<uint64_t, 128> kTailAdd = [] {
+  std::array<uint64_t, 128> t{};
+  for (uint64_t r = 0; r < t.size(); r++) t[r] = fnv_tail(r) - r * kTailMul;
+  return t;
+}();
 }  // namespace
 
 size_t KvStore::pool_bytes() const {
@@ -24,11 +65,22 @@ size_t KvStore::pool_bytes() const {
   return std::max<uint64_t>(256ull << 20, need);
 }
 
-util::Key128 KvStore::make_key(uint64_t k) {
+util::Key128 KvStore::key_of(uint64_t k) {
   // 128-byte keys as memaslap generates: a printable prefix + padding.
-  std::string s = "memaslap-key-" + util::padded_key(k, 20);
-  s.resize(120, 'x');
-  return util::Key128(s);
+  util::Key128 key;
+  std::memcpy(key.data, kPrefix, kPrefixLen);
+  std::memset(key.data + kPrefixLen, '0', kDigitsEnd - kPrefixLen);
+  for (size_t i = kDigitsEnd; k != 0; k /= 10) key.data[--i] = static_cast<char>('0' + k % 10);
+  std::memset(key.data + kDigitsEnd, 'x', kPadEnd - kDigitsEnd);
+  return key;
+}
+
+uint64_t KvStore::hash_of(const util::Key128& key) {
+  uint64_t h = kAfterPrefix;
+  for (size_t i = kPrefixLen; i < kDigitsEnd; i++) {
+    h = fnv_step(h, static_cast<unsigned char>(key.data[i]));
+  }
+  return h * kTailMul + kTailAdd[h & 127];
 }
 
 void KvStore::setup(ptm::Runtime& rt, sim::ExecContext& ctx) {
@@ -50,8 +102,8 @@ void KvStore::setup(ptm::Runtime& rt, sim::ExecContext& ctx) {
 }
 
 void KvStore::request(ptm::Runtime& rt, sim::ExecContext& ctx, uint64_t k, bool is_get) {
-  const util::Key128 key = make_key(k);
-  const uint64_t h = util::fnv1a(key.data, sizeof(key.data));
+  const util::Key128 key = key_of(k);
+  const uint64_t h = hash_of(key);
   uint64_t* bucket = &buckets_[h & (nbuckets_ - 1)];
   nvm::Memory& mem = rt.pool().mem();
   const uint64_t value_lines = (p_.value_bytes + 63) / 64;
@@ -117,8 +169,8 @@ void KvStore::op(ptm::Runtime& rt, sim::ExecContext& ctx, util::Rng& rng) {
 void KvStore::verify(ptm::Runtime& rt, sim::ExecContext& ctx) {
   // Every populated key must be retrievable.
   for (uint64_t k = 0; k < std::min<uint64_t>(p_.items, 256); k++) {
-    const util::Key128 key = make_key(k);
-    const uint64_t h = util::fnv1a(key.data, sizeof(key.data));
+    const util::Key128 key = key_of(k);
+    const uint64_t h = hash_of(key);
     bool ok = false;
     rt.run(ctx, [&](ptm::Tx& tx) {
       ok = false;

@@ -9,6 +9,10 @@
 // footprint is modelled line-by-line (nvm::Memory::touch_lines), but no
 // host bytes are materialized. That is what makes the paper's up-to-320-GB
 // working sets reproducible on this host at 1/256 scale (see DESIGN.md).
+//
+// Keys are "memaslap-key-" + 20 zero-padded digits + 87 'x' + 8 NULs.
+// FNV-1a's low 7 bits evolve independently of the high bits and 'x' < 128,
+// so the 95-byte fixed tail hashes in closed form: h*P^95 + T[h & 127].
 #pragma once
 
 #include "util/strkey.h"
@@ -36,6 +40,11 @@ class KvStore final : public Workload {
   /// One get (true) or set (false) for key id `k` — exposed for tests.
   void request(ptm::Runtime& rt, sim::ExecContext& ctx, uint64_t k, bool is_get);
 
+  /// The 128-byte key of id `k`, rendered in place (see the header).
+  static util::Key128 key_of(uint64_t k);
+  /// util::fnv1a over all 128 bytes of a key built by key_of, in closed form.
+  static uint64_t hash_of(const util::Key128& key);
+
   uint64_t virtual_lines_used() const override {
     return next_virtual_line_ - virtual_line_base_;
   }
@@ -49,8 +58,6 @@ class KvStore final : public Workload {
     uint64_t version;      // bumped by set (the transactional write)
     uint64_t next;
   };
-
-  static util::Key128 make_key(uint64_t k);
 
   KvParams p_;
   uint64_t* buckets_ = nullptr;  // pmem array (raw)

@@ -1,7 +1,11 @@
 // Unit tests for the memcached-like key/value store (workloads/kv).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "test_common.h"
+#include "util/rng.h"
 #include "workloads/kv.h"
 
 namespace {
@@ -76,6 +80,42 @@ TEST(KvCollisions, ManyItemsFewBucketsStillCorrect) {
   sim::RealContext ctx(0, 8);
   store.setup(rt, ctx);
   EXPECT_NO_THROW(store.verify(rt, ctx));
+}
+
+}  // namespace
+
+namespace {
+
+// key_of/hash_of render and hash keys in place; the oracle is the string
+// construction they replaced and util::fnv1a over all 128 bytes.
+util::Key128 oracle_key(uint64_t k) {
+  std::string s = "memaslap-key-" + util::padded_key(k, 20);
+  s.resize(120, 'x');
+  return util::Key128(s);
+}
+
+void expect_same_key(uint64_t k) {
+  const util::Key128 want = oracle_key(k);
+  const util::Key128 got = workloads::KvStore::key_of(k);
+  ASSERT_EQ(std::memcmp(got.data, want.data, sizeof(want.data)), 0) << "k=" << k;
+  ASSERT_EQ(workloads::KvStore::hash_of(got), util::fnv1a(want.data, sizeof(want.data)))
+      << "k=" << k;
+}
+
+TEST(KvKeys, EdgeKeysMatchStringConstruction) {
+  for (uint64_t k : {0ull, 1ull, 9ull, 10ull, 655359ull, 9999999ull, 10000000ull,
+                     10000000000000000000ull, 1ull << 63, ~0ull}) {
+    expect_same_key(k);
+  }
+}
+
+TEST(KvKeys, RandomKeysMatchStringConstruction) {
+  util::Rng rng(0x6b76ull);
+  for (int i = 0; i < 100000; i++) {
+    // Mix full-width ids with short ones so every digit count is covered.
+    const uint64_t r = rng.next();
+    expect_same_key(i % 2 ? r : r % (1ull << (r % 64)));
+  }
 }
 
 }  // namespace

@@ -381,6 +381,89 @@ TEST(MemoryTiming, TouchLinesModelsVirtualPayloads) {
   EXPECT_GT(t, 16u * 200);  // 16 cold Optane line reads
 }
 
+// ------------------------------------------------ word-access accounting
+
+namespace {
+
+// Forwards every call to an inner context, like perfbench's TracedContext:
+// wrapping must not move an advance() or change what the model counts.
+class ForwardingContext final : public sim::ExecContext {
+ public:
+  explicit ForwardingContext(sim::ExecContext& inner) : inner_(inner) {}
+  uint64_t now_ns() const override { return inner_.now_ns(); }
+  void advance(uint64_t ns) override { inner_.advance(ns); }
+  int worker_id() const override { return inner_.worker_id(); }
+  int num_workers() const override { return inner_.num_workers(); }
+  bool is_simulated() const override { return inner_.is_simulated(); }
+
+ private:
+  sim::ExecContext& inner_;
+};
+
+struct MixedRun {
+  stats::TxCounters c[2];
+  uint64_t clock[2] = {0, 0};
+  uint64_t elapsed = 0;
+};
+
+// Two workers interleave loads, stores and virtual-line touches over a
+// shared set of lines on a fresh pool.
+MixedRun run_mixed(bool forwarded) {
+  nvm::Pool pool(test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane));
+  MixedRun r;
+  sim::Engine e(2);
+  e.run([&](sim::ExecContext& sim_ctx) {
+    ForwardingContext fwd(sim_ctx);
+    sim::ExecContext& ctx = forwarded ? static_cast<sim::ExecContext&>(fwd) : sim_ctx;
+    const int w = ctx.worker_id();
+    stats::TxCounters* c = &r.c[w];
+    nvm::Memory& mem = pool.mem();
+    for (int i = 0; i < 400; i++) {
+      auto* word = reinterpret_cast<uint64_t*>(pool.heap_base() + ((i * 7 + w * 3) % 97) * 64);
+      mem.load_word(ctx, c, word, nvm::Space::kData);
+      if (i % 3 == w) mem.store_word(ctx, c, word, static_cast<uint64_t>(i), nvm::Space::kData);
+      if (i % 16 == 0) {
+        mem.touch_lines(ctx, c, mem.virtual_line_base() + static_cast<uint64_t>(i), 4,
+                        i % 32 == 0, nvm::Space::kData);
+      }
+    }
+    r.clock[w] = ctx.now_ns();
+  });
+  r.elapsed = e.elapsed_ns();
+  return r;
+}
+
+}  // namespace
+
+TEST(WordAccounting, RealContextCountsOnceAndChargesNothing) {
+  nvm::Pool pool(test::small_cfg(nvm::Domain::kAdr, nvm::Media::kOptane));
+  sim::RealContext ctx;
+  stats::TxCounters c;
+  auto* w = reinterpret_cast<uint64_t*>(pool.heap_base());
+  pool.mem().store_word(ctx, &c, w, 7, nvm::Space::kData);
+  EXPECT_EQ(pool.mem().load_word(ctx, &c, w, nvm::Space::kData), 7u);
+  EXPECT_EQ(c.pmem_loads, 1u);
+  EXPECT_EQ(c.pmem_stores, 1u);
+  EXPECT_EQ(c.l3_hits + c.l3_misses, 0u);
+  EXPECT_EQ(ctx.now_ns(), 0u);
+}
+
+TEST(WordAccounting, ForwardingContextMatchesBareSimContext) {
+  const MixedRun bare = run_mixed(false);
+  const MixedRun fwd = run_mixed(true);
+  for (int w = 0; w < 2; w++) {
+    SCOPED_TRACE(w);
+    EXPECT_GT(bare.c[w].pmem_loads, 0u);
+    EXPECT_GT(bare.c[w].l3_misses, 0u);
+    EXPECT_EQ(fwd.c[w].pmem_loads, bare.c[w].pmem_loads);
+    EXPECT_EQ(fwd.c[w].pmem_stores, bare.c[w].pmem_stores);
+    EXPECT_EQ(fwd.c[w].l3_hits, bare.c[w].l3_hits);
+    EXPECT_EQ(fwd.c[w].l3_misses, bare.c[w].l3_misses);
+    EXPECT_EQ(fwd.clock[w], bare.clock[w]);
+  }
+  EXPECT_EQ(fwd.elapsed, bare.elapsed);
+}
+
 // --------------------------------------------- crash shadow semantics
 
 TEST(CrashSim, AdrUnflushedStoreIsLost) {
